@@ -230,11 +230,8 @@ class DeltaStratumScorer:
         overheads: Optional[np.ndarray] = None,
     ) -> None:
         self._sizes = np.asarray(stratum_sizes, dtype=np.float64)
-        pairs = list(pair_stratum_vars)
-        self._stacked = (
-            np.stack(pairs).astype(np.float64, copy=False)
-            if pairs else None
-        )
+        stacked = np.asarray(pair_stratum_vars, dtype=np.float64)
+        self._stacked = stacked if len(stacked) else None
         self._counts = stratum_counts
         self._over = (
             None if overheads is None

@@ -22,17 +22,40 @@ stratification algorithm's ``#Samples`` estimates are built on (§5.1).
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
+import numpy as np
+from scipy.special import ndtr
 from scipy.stats import norm
 
 __all__ = [
     "pairwise_prcs",
+    "pairwise_prcs_many",
     "bonferroni",
     "per_pair_alpha",
     "pair_target_variance",
 ]
+
+
+def pairwise_prcs_many(
+    gap: np.ndarray, variance: np.ndarray, delta: float = 0.0
+) -> np.ndarray:
+    """``Pr(CS_{l,j})`` for many pairs at once (see :func:`pairwise_prcs`).
+
+    One ``ndtr`` pass over the standardized margins — the same float
+    ``norm.cdf`` returns for each of them.  Degenerate variances keep
+    their exact answers; a NaN gap or variance gives 0.
+    """
+    gap = np.asarray(gap, dtype=np.float64)
+    variance = np.asarray(variance, dtype=np.float64)
+    margin = gap + delta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = ndtr(margin / np.sqrt(variance))
+    # Exhaustive or degenerate sample: the estimate is exact.
+    exact = np.where(margin > 0, 1.0, np.where(margin < 0, 0.0, 0.5))
+    p = np.where(variance <= 0.0, exact, p)
+    unknown = np.isinf(variance) | np.isnan(variance) | np.isnan(margin)
+    return np.where(unknown, 0.0, p)
 
 
 def pairwise_prcs(gap: float, variance: float, delta: float = 0.0) -> float:
@@ -46,27 +69,21 @@ def pairwise_prcs(gap: float, variance: float, delta: float = 0.0) -> float:
     variance:
         Estimated variance of the difference estimator (``Var(X_l) +
         Var(X_j)`` for Independent Sampling, ``Var(X_{l,j})`` for Delta
-        Sampling).
+        Sampling).  Infinite or NaN variance (and a NaN gap) give 0:
+        nothing is known about the pair.
     delta:
         The sensitivity parameter: differences below ``delta`` do not
         count as incorrect selections.
     """
-    margin = gap + delta
-    if math.isinf(variance):
-        return 0.0
-    if variance <= 0.0:
-        # Exhaustive or degenerate sample: the estimate is exact.
-        if margin > 0:
-            return 1.0
-        if margin < 0:
-            return 0.0
-        return 0.5
-    return float(norm.cdf(margin / math.sqrt(variance)))
+    return float(pairwise_prcs_many(gap, variance, delta))
 
 
 def bonferroni(pairwise: Sequence[float]) -> float:
-    """Lower bound on ``Pr(CS)`` from pairwise probabilities (eq. 3)."""
-    total = 1.0 - sum(1.0 - p for p in pairwise)
+    """Lower bound on ``Pr(CS)`` from pairwise probabilities (eq. 3).
+
+    Summed left to right; a NaN pairwise probability counts as 0.
+    """
+    total = 1.0 - sum(1.0 - p if p == p else 1.0 for p in pairwise)
     return max(0.0, min(1.0, total))
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .estimators import DeltaState, IndependentState
 from .prcs import (
     bonferroni,
     pair_target_variance,
-    pairwise_prcs,
+    pairwise_prcs_many,
     per_pair_alpha,
 )
 from .progressive import propose_split, propose_split_reference
@@ -74,6 +74,62 @@ def _jsonify_options(options: "SelectorOptions") -> dict:
     options-compatibility check on resume.
     """
     return asdict(options)
+
+
+class _PairStats(NamedTuple):
+    """Every pair ``(best, j)`` of one evaluation round, ``j`` ascending.
+
+    ``mean`` estimates ``Cost(WL, C_best) - Cost(WL, C_j)`` (negative
+    while ``best`` looks better), ``var`` its variance and ``prcs`` the
+    pair's ``Pr(CS_{best,j})``.
+    """
+
+    others: np.ndarray
+    mean: np.ndarray
+    var: np.ndarray
+    prcs: np.ndarray
+
+
+def _pair_stats(others: np.ndarray, mean: np.ndarray, var: np.ndarray,
+                delta: float) -> _PairStats:
+    return _PairStats(
+        others, mean, var, pairwise_prcs_many(-mean, var, delta)
+    )
+
+
+class _HeldPairs:
+    """Pair estimates of eliminated configurations, held per round key.
+
+    An eliminated configuration stops sampling, so the first estimate
+    of its pair with ``best`` under one ``(best, stratification
+    version)`` key is held and reused until the key changes — also
+    when the pair's aligned samples still grow meanwhile (a best whose
+    carried warm-start lists are shorter keeps extending the pair).
+    Selection decisions depend on the held values, so they are kept.
+    """
+
+    def __init__(self, n_configs: int) -> None:
+        self.key: Optional[Tuple[int, int]] = None
+        self.held = np.zeros(n_configs, dtype=bool)
+        self.mean = np.zeros(n_configs)
+        self.var = np.zeros(n_configs)
+
+    def apply(self, key: Tuple[int, int], others: np.ndarray,
+              mean: np.ndarray, var: np.ndarray,
+              inactive: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        if key != self.key:
+            self.key = key
+            self.held[:] = False
+        held = self.held[others]
+        use = inactive & held
+        mean = np.where(use, self.mean[others], mean)
+        var = np.where(use, self.var[others], var)
+        store = inactive & ~held
+        fresh = others[store]
+        self.mean[fresh] = mean[store]
+        self.var[fresh] = var[store]
+        self.held[fresh] = True
+        return mean, var
 
 
 class _NullTimer:
@@ -851,14 +907,7 @@ class ConfigurationSelector:
             # Pilot: n_min draws per stratum (shared across configs).
             self._delta_pilot(state, strat, active)
 
-        # Eliminated configurations stop sampling, so their aligned
-        # difference moments against any configuration are frozen; cache
-        # their pair estimates per (best, stratification) to keep large-k
-        # rounds cheap.  (Rebuilt from frozen buffers on resume, so the
-        # recomputed entries are bit-identical.)
-        pair_cache: Dict[int, Tuple[float, float]] = {}
-        cache_key: Optional[Tuple[int, int]] = None
-
+        held = _HeldPairs(k)
         while True:
             if self._checkpoint_due(round_idx):
                 payload = self._checkpoint_common(
@@ -872,36 +921,25 @@ class ConfigurationSelector:
                 payload["state"] = state.state_dict()
                 save_checkpoint(self.checkpoint_path, payload)
             round_idx += 1
-            # --- evaluate ---
+            # --- evaluate: all totals, then every pair against best ---
             with self._timer.phase("evaluate"):
-                totals = np.array(
-                    [state.estimate_total(c, strat)[0] for c in range(k)]
-                )
+                totals = state.totals(strat)[0]
                 best = int(np.argmin(np.where(np.isfinite(totals), totals,
                                               np.inf)))
-                round_key = (best, strat_version)
-                if round_key != cache_key:
-                    pair_cache = {}
-                    cache_key = round_key
-                active_set = set(active)
-                pair_stats: Dict[int, Tuple[float, float]] = {}
-                pairwise: List[float] = []
-                for j in range(k):
-                    if j == best:
-                        continue
-                    if j not in active_set and j in pair_cache:
-                        mean_diff, var_diff = pair_cache[j]
-                    else:
-                        mean_diff, var_diff = state.pair_estimate(
-                            best, j, strat
-                        )
-                        if j not in active_set:
-                            pair_cache[j] = (mean_diff, var_diff)
-                    pair_stats[j] = (mean_diff, var_diff)
-                    pairwise.append(
-                        pairwise_prcs(-mean_diff, var_diff, opts.delta)
-                    )
-                prcs = bonferroni(pairwise) if pairwise else 1.0
+                others, mean_diff, var_diff = state.pair_estimates(
+                    best, strat
+                )
+                is_active = np.zeros(k, dtype=bool)
+                is_active[active] = True
+                mean_diff, var_diff = held.apply(
+                    (best, strat_version), others, mean_diff, var_diff,
+                    ~is_active[others],
+                )
+                pairs = _pair_stats(others, mean_diff, var_diff, opts.delta)
+                prcs = (
+                    bonferroni(pairs.prcs.tolist()) if len(pairs.others)
+                    else 1.0
+                )
             history.append((calls_used(), prcs))
 
             # --- terminate? ---
@@ -918,26 +956,13 @@ class ConfigurationSelector:
 
             # --- eliminate ---
             if opts.eliminate:
-                still = []
-                for j in active:
-                    if j == best:
-                        still.append(j)
-                        continue
-                    mean_diff, var_diff = pair_stats[j]
-                    p = pairwise_prcs(-mean_diff, var_diff, opts.delta)
-                    if p > opts.elimination_threshold:
-                        eliminated.append(j)
-                    else:
-                        still.append(j)
-                active = still
-                if best not in active:
-                    active.append(best)
+                active = self._eliminate(active, eliminated, best, pairs)
 
             # --- progressive stratification (Algorithm 2) ---
             if opts.stratify == "progressive":
                 with self._timer.phase("split"):
                     new_strat = self._delta_split(
-                        state, strat, best, pair_stats, len(active)
+                        state, strat, best, pairs, len(active)
                     )
                 if new_strat is not strat:
                     strat = new_strat
@@ -949,20 +974,16 @@ class ConfigurationSelector:
                 max(1, opts.reeval_every) * max(1, len(active)),
                 consec,
             )
-            if not self._delta_draw(state, strat, best, pair_stats, active,
-                                    rounds):
+            if not self._delta_draw(state, strat, best, active, rounds):
                 # Workload exhausted: estimates are now exact.
                 terminated_by = "exhausted"
-                totals = np.array(
-                    [state.estimate_total(c, strat)[0] for c in range(k)]
-                )
-                best = int(np.argmin(totals))
                 prcs = 1.0
                 break
 
-        totals = np.array(
-            [state.estimate_total(c, strat)[0] for c in range(k)]
-        )
+        # The totals pass is memoized per stratification and sample
+        # version, so this reads the last evaluation's (or, after
+        # exhaustion, one fresh) pass.
+        totals = state.totals(strat)[0].copy()
         best = int(np.argmin(totals))
         self._final_strata = strat.strata
         return SelectionResult(
@@ -977,6 +998,23 @@ class ConfigurationSelector:
             queries_sampled=state.sample_count(),
             final_strata=strat.strata,
         )
+
+    def _eliminate(self, active: List[int], eliminated: List[int],
+                   best: int, pairs: _PairStats) -> List[int]:
+        """Drop active configurations whose pair with ``best`` clears
+        the elimination threshold (appended to ``eliminated`` in active
+        order); ``best`` always stays."""
+        prcs = np.zeros(self.source.n_configs)
+        prcs[pairs.others] = pairs.prcs
+        act = np.asarray(active, dtype=np.int64)
+        drop = (act != best) & (
+            prcs[act] > self.options.elimination_threshold
+        )
+        eliminated.extend(act[drop].tolist())
+        still = act[~drop].tolist()
+        if best not in still:
+            still.append(best)
+        return still
 
     def _delta_pilot(
         self,
@@ -993,20 +1031,16 @@ class ConfigurationSelector:
         """
         active = list(active)
         per_draw = max(1, len(active))
-        for stratum in strat.strata:
-            drawn = sum(state.sampler.drawn(t) for t in stratum)
-            target = min(
-                self.options.n_min,
-                sum(self.template_sizes[t] for t in stratum),
-            )
+        drawn_by_stratum = strat.member_sums(state.sampler.drawn_counts())
+        for h, tids in enumerate(strat.tid_arrays):
+            drawn = int(drawn_by_stratum[h])
+            target = min(self.options.n_min, int(strat.sizes[h]))
             while drawn < target:
                 chunk = self._chunk_allowance(target - drawn, per_draw)
                 if chunk <= 0:
                     return
                 with self._timer.phase("draw"):
-                    draws = state.sampler.draw_many(
-                        stratum, self.rng, chunk
-                    )
+                    draws = state.sampler.draw_many(tids, self.rng, chunk)
                 if draws:
                     self._delta_ingest(state, draws, active)
                     drawn += len(draws)
@@ -1025,33 +1059,29 @@ class ConfigurationSelector:
         a draw back to back), so ingestion replays the serial
         accumulator-update order exactly.
         """
-        k_a = len(active)
+        configs = np.asarray(active, dtype=np.int64)
+        k_a = len(configs)
         qs = np.fromiter(
             (q for q, _t in draws), dtype=np.int64, count=len(draws)
         )
         pairs = np.empty((len(draws) * k_a, 2), dtype=np.int64)
         pairs[:, 0] = np.repeat(qs, k_a)
-        pairs[:, 1] = np.tile(
-            np.asarray(active, dtype=np.int64), len(draws)
-        )
+        pairs[:, 1] = np.tile(configs, len(draws))
         with self._timer.phase("cost"):
             values = self.source.cost_many(pairs)
         with self._timer.phase("ingest"):
-            for d, (qidx, tid) in enumerate(draws):
-                state.ingest(
-                    qidx, tid, active, values[d * k_a:(d + 1) * k_a]
-                )
+            state.ingest_batch(draws, configs, values)
 
     def _delta_split(
         self,
         state: DeltaState,
         strat: Stratification,
         best: int,
-        pair_stats: Dict[int, Tuple[float, float]],
+        pairs: _PairStats,
         k_active: int,
     ) -> Stratification:
         """Consult Algorithm 2 using the binding pair's difference stats."""
-        binding = self._binding_pair(pair_stats, k_active)
+        binding = self._binding_pair(pairs, k_active)
         if binding is None:
             return strat
         j, target_var = binding
@@ -1070,15 +1100,10 @@ class ConfigurationSelector:
         new_strat = strat.split(
             decision.stratum_idx, decision.left, decision.right
         )
-        # Line 8 of Algorithm 1: pilot the refreshed strata.
-        self._delta_pilot(state, new_strat, self._active_or_all(pair_stats,
-                                                                best))
+        # Line 8 of Algorithm 1: pilot the refreshed strata — in every
+        # configuration, eliminated ones included.
+        self._delta_pilot(state, new_strat, range(self.source.n_configs))
         return new_strat
-
-    def _active_or_all(
-        self, pair_stats: Dict[int, Tuple[float, float]], best: int
-    ) -> List[int]:
-        return sorted(set(pair_stats) | {best})
 
     def _propose_split(
         self,
@@ -1107,15 +1132,13 @@ class ConfigurationSelector:
         )
 
     def _binding_pair(
-        self,
-        pair_stats: Dict[int, Tuple[float, float]],
-        k_active: int,
+        self, pairs: _PairStats, k_active: int
     ) -> Optional[Tuple[int, float]]:
         """The pair needing the smallest (hardest) target variance."""
         alpha_pair = per_pair_alpha(self.options.alpha, max(2, k_active))
         best_j: Optional[int] = None
         best_target = math.inf
-        for j, (mean_diff, _var) in pair_stats.items():
+        for j, mean_diff in zip(pairs.others.tolist(), pairs.mean.tolist()):
             target = pair_target_variance(
                 -mean_diff, self.options.delta, alpha_pair
             )
@@ -1131,7 +1154,6 @@ class ConfigurationSelector:
         state: DeltaState,
         strat: Stratification,
         best: int,
-        pair_stats: Dict[int, Tuple[float, float]],
         active: Sequence[int],
         rounds: int = 1,
     ) -> bool:
@@ -1147,26 +1169,17 @@ class ConfigurationSelector:
         """
         with self._timer.phase("plan"):
             sizes = strat.sizes
-            L = strat.stratum_count
-            counts = np.zeros(L, dtype=np.int64)
-            remaining = np.zeros(L, dtype=np.int64)
-            for h, stratum in enumerate(strat.strata):
-                counts[h] = sum(state.sampler.drawn(t) for t in stratum)
-                remaining[h] = state.sampler.remaining_in(stratum)
+            counts = strat.member_sums(state.sampler.drawn_counts())
+            remaining = strat.member_sums(state.sampler.remaining_counts())
             exhausted = remaining == 0
             if exhausted.all():
                 return False
             # Per-pair per-stratum variances for the variance-sum
-            # heuristic (pooled moments are cached inside the state).
-            pair_vars = []
-            for j in pair_stats:
-                vars_h = np.zeros(L)
-                for h, (n_h, _m_h, m2_h) in enumerate(
-                    state.pair_stratum_moments(best, j, strat)
-                ):
-                    if n_h >= 2:
-                        vars_h[h] = m2_h / (n_h - 1)
-                pair_vars.append(vars_h)
+            # heuristic: the (pairs, strata) moments of this round's
+            # evaluation, unless a split's pilot has moved them since.
+            _others, n, _mean, m2h = state.pair_moments(best, strat)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                pair_vars = np.where(n >= 2, m2h / (n - 1), 0.0)
             overheads = self._stratum_overheads(strat)
             per_round = max(1, self.options.reeval_every)
             # Round-to-round only the picked stratum's count moves, so
@@ -1176,7 +1189,7 @@ class ConfigurationSelector:
                 DeltaStratumScorer(
                     sizes, pair_vars, counts, overheads=overheads
                 )
-                if pair_vars else None
+                if len(pair_vars) else None
             )
             plan: List[Tuple[int, int]] = []
             for _ in range(max(1, rounds)):
@@ -1188,16 +1201,16 @@ class ConfigurationSelector:
                     pick = int(np.argmax(np.where(exhausted, -1, sizes)))
                 if pick is None:
                     break
-                n = int(min(per_round, remaining[pick]))
-                if n <= 0:
+                n_draws = int(min(per_round, remaining[pick]))
+                if n_draws <= 0:
                     exhausted[pick] = True
                     continue
                 if plan and plan[-1][0] == pick:
-                    plan[-1] = (pick, plan[-1][1] + n)
+                    plan[-1] = (pick, plan[-1][1] + n_draws)
                 else:
-                    plan.append((pick, n))
-                counts[pick] += n
-                remaining[pick] -= n
+                    plan.append((pick, n_draws))
+                counts[pick] += n_draws
+                remaining[pick] -= n_draws
                 if remaining[pick] == 0:
                     exhausted[pick] = True
                 if scorer is not None:
@@ -1206,9 +1219,9 @@ class ConfigurationSelector:
         active = list(active)
         per_draw = max(1, len(active))
         drew_any = False
-        for pick, n in plan:
-            stratum = strat.strata[pick]
-            pending = n
+        for pick, n_draws in plan:
+            tids = strat.tid_arrays[pick]
+            pending = n_draws
             while pending > 0:
                 chunk = self._chunk_allowance(pending, per_draw)
                 if chunk <= 0 and not drew_any:
@@ -1218,9 +1231,7 @@ class ConfigurationSelector:
                 if chunk <= 0:
                     return drew_any
                 with self._timer.phase("draw"):
-                    draws = state.sampler.draw_many(
-                        stratum, self.rng, chunk
-                    )
+                    draws = state.sampler.draw_many(tids, self.rng, chunk)
                 if draws:
                     self._delta_ingest(state, draws, active)
                     drew_any = True
@@ -1313,16 +1324,16 @@ class ConfigurationSelector:
                 variances = np.array([e[1] for e in ests])
                 best = int(np.argmin(np.where(np.isfinite(totals), totals,
                                               np.inf)))
-                pairwise = []
-                pair_stats: Dict[int, Tuple[float, float]] = {}
-                for j in range(k):
-                    if j == best:
-                        continue
-                    gap = float(totals[j] - totals[best])
-                    var = float(variances[j] + variances[best])
-                    pair_stats[j] = (-gap, var)
-                    pairwise.append(pairwise_prcs(gap, var, opts.delta))
-                prcs = bonferroni(pairwise) if pairwise else 1.0
+                others = np.delete(np.arange(k), best)
+                gap = totals[others] - totals[best]
+                pairs = _pair_stats(
+                    others, -gap, variances[others] + variances[best],
+                    opts.delta,
+                )
+                prcs = (
+                    bonferroni(pairs.prcs.tolist()) if len(others)
+                    else 1.0
+                )
             history.append((calls_used(), prcs))
 
             if prcs > opts.alpha:
@@ -1337,20 +1348,7 @@ class ConfigurationSelector:
                 break
 
             if opts.eliminate:
-                still = []
-                for j in active:
-                    if j == best:
-                        still.append(j)
-                        continue
-                    gap, var = -pair_stats[j][0], pair_stats[j][1]
-                    if pairwise_prcs(gap, var, opts.delta) > \
-                            opts.elimination_threshold:
-                        eliminated.append(j)
-                    else:
-                        still.append(j)
-                active = still
-                if best not in active:
-                    active.append(best)
+                active = self._eliminate(active, eliminated, best, pairs)
 
             # Progressive stratification for the last-sampled config.
             if opts.stratify == "progressive" and last_sampled is not None \
@@ -1358,7 +1356,7 @@ class ConfigurationSelector:
                 with self._timer.phase("split"):
                     strats[last_sampled] = self._independent_split(
                         state, strats[last_sampled], last_sampled,
-                        pair_stats, len(active),
+                        pairs, len(active),
                     )
 
             # Plan up to `rounds` greedy (configuration, stratum) picks
@@ -1379,8 +1377,10 @@ class ConfigurationSelector:
                         break
                     config, stratum_idx = pick
                     already = pending.get((config, stratum_idx), 0)
-                    avail = state.samplers[config].remaining_in(
-                        strats[config].strata[stratum_idx]
+                    tids = strats[config].tid_arrays[stratum_idx]
+                    avail = int(
+                        state.samplers[config].remaining_counts()[tids]
+                        .sum()
                     ) - already
                     n = int(min(per_round, avail))
                     if n <= 0:
@@ -1394,7 +1394,7 @@ class ConfigurationSelector:
             drew_any = False
             budget_bound = False
             for config, stratum_idx, n in plan:
-                stratum = strats[config].strata[stratum_idx]
+                tids = strats[config].tid_arrays[stratum_idx]
                 remaining = n
                 while remaining > 0:
                     chunk = self._chunk_allowance(remaining, 1)
@@ -1407,7 +1407,7 @@ class ConfigurationSelector:
                         break
                     with self._timer.phase("draw"):
                         draws = state.samplers[config].draw_many(
-                            stratum, self.rng, chunk
+                            tids, self.rng, chunk
                         )
                     if draws:
                         self._independent_ingest(state, config, draws)
@@ -1446,21 +1446,16 @@ class ConfigurationSelector:
     def _independent_pilot(
         self, state: IndependentState, strat: Stratification, config: int
     ) -> None:
-        for stratum in strat.strata:
-            drawn = sum(
-                int(state.grid.count[config, t]) for t in stratum
-            )
-            target = min(
-                self.options.n_min,
-                sum(self.template_sizes[t] for t in stratum),
-            )
+        for h, tids in enumerate(strat.tid_arrays):
+            drawn = int(state.grid.count[config, tids].sum())
+            target = min(self.options.n_min, int(strat.sizes[h]))
             while drawn < target:
                 chunk = self._chunk_allowance(target - drawn, 1)
                 if chunk <= 0:
                     return
                 with self._timer.phase("draw"):
                     draws = state.samplers[config].draw_many(
-                        stratum, self.rng, chunk
+                        tids, self.rng, chunk
                     )
                 if draws:
                     self._independent_ingest(state, config, draws)
@@ -1483,18 +1478,17 @@ class ConfigurationSelector:
         with self._timer.phase("cost"):
             values = self.source.cost_many(pairs)
         with self._timer.phase("ingest"):
-            for (qidx, tid), value in zip(draws, values):
-                state.ingest(config, tid, value)
+            state.ingest_batch(config, draws, values)
 
     def _independent_split(
         self,
         state: IndependentState,
         strat: Stratification,
         config: int,
-        pair_stats: Dict[int, Tuple[float, float]],
+        pairs: _PairStats,
         k_active: int,
     ) -> Stratification:
-        binding = self._binding_pair(pair_stats, k_active)
+        binding = self._binding_pair(pairs, k_active)
         if binding is None:
             return strat
         _j, pair_target = binding
@@ -1541,15 +1535,13 @@ class ConfigurationSelector:
             strat = strats[config]
             stats = state.stratum_stats(config, strat)
             overheads = self._stratum_overheads(strat)
-            L = strat.stratum_count
-            planned = np.zeros(L, dtype=np.int64)
-            open_mask = np.zeros(L, dtype=bool)
-            for h, stratum in enumerate(strat.strata):
-                p = pending.get((config, h), 0) if pending else 0
-                planned[h] = p
-                open_mask[h] = (
-                    state.samplers[config].remaining_in(stratum) - p > 0
-                )
+            planned = np.zeros(strat.stratum_count, dtype=np.int64)
+            for (c, h), p in (pending or {}).items():
+                if c == config:
+                    planned[h] = p
+            open_mask = strat.member_sums(
+                state.samplers[config].remaining_counts()
+            ) - planned > 0
             if not open_mask.any():
                 continue
             n_eff = np.asarray(stats.n, dtype=np.int64) + planned
