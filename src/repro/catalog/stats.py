@@ -5,12 +5,16 @@ over sampled data.  We model synthetic columns analytically: a column
 with ``d`` distinct values and Zipf skew ``theta`` takes the values
 ``0 .. d-1``, where value ``v`` is the ``(v+1)``-th most frequent (so
 value 0 is the head of the distribution).  The exact probability mass
-function is therefore known, and we derive from it both
+function is therefore known.  Building a column's statistics derives
+an equi-depth :class:`Histogram` from it and keeps only the histogram:
 
-* *exact* selectivities (used to generate "true" cardinalities), and
-* *histogram* selectivities through an equi-depth :class:`Histogram`,
-  which is what the cost model consumes — mirroring the small
-  estimation error a production optimizer incurs.
+* *histogram* selectivities are what the cost model consumes —
+  mirroring the small estimation error a production optimizer incurs
+  — and cost ``O(buckets)`` memory per column, whatever its domain;
+* *exact* selectivities (:meth:`ColumnStatistics.exact_eq`,
+  :meth:`ColumnStatistics.exact_range`) regenerate the pmf on demand.
+  Nothing in the cost model reads them; they exist to check the
+  histogram against the distribution it summarizes.
 
 Because both are deterministic functions of the column definition, the
 overall cost model ``Cost(q, C)`` is deterministic, which the paper's
@@ -128,25 +132,31 @@ class Histogram:
 
 
 class ColumnStatistics:
-    """Exact + histogram statistics for a single column."""
+    """Histogram statistics for a single column, plus exact checks.
+
+    Only the :class:`Histogram` is retained: the pmf it is built from
+    is ``O(distinct_count)`` and is dropped after the build.  The exact
+    selectivities recompute it per call.
+    """
 
     def __init__(self, column: Column, bucket_count: int = 32) -> None:
         self.column = column
-        self.pmf = zipf_pmf(column.distinct_count, column.zipf_theta)
-        self.cdf = np.cumsum(self.pmf)
-        self.histogram = Histogram(self.pmf, bucket_count=bucket_count)
+        self.histogram = Histogram(self._pmf(), bucket_count=bucket_count)
+
+    def _pmf(self) -> np.ndarray:
+        return zipf_pmf(self.column.distinct_count, self.column.zipf_theta)
 
     @property
     def distinct_count(self) -> int:
         """Number of distinct values in the column."""
         return self.column.distinct_count
 
-    # -- exact selectivities (generator-side "truth") -------------------
+    # -- exact selectivities (recomputed per call, O(distinct_count)) ---
     def exact_eq(self, value: int) -> float:
         """Exact fraction of rows carrying ``value``."""
         if value < 0 or value >= self.distinct_count:
             return 0.0
-        return float(self.pmf[value])
+        return float(self._pmf()[value])
 
     def exact_range(self, lo: int, hi: int) -> float:
         """Exact fraction of rows with value in the closed range [lo, hi]."""
@@ -156,8 +166,9 @@ class ColumnStatistics:
         hi = min(self.distinct_count - 1, hi)
         if hi < lo:
             return 0.0
-        upper = float(self.cdf[hi])
-        lower = float(self.cdf[lo - 1]) if lo > 0 else 0.0
+        cdf = np.cumsum(self._pmf())
+        upper = float(cdf[hi])
+        lower = float(cdf[lo - 1]) if lo > 0 else 0.0
         return upper - lower
 
     # -- estimated selectivities (optimizer-side) ------------------------
@@ -203,9 +214,10 @@ class TableStatistics:
 class StatisticsCatalog:
     """Lazily built statistics for every table in a schema.
 
-    Building a :class:`ColumnStatistics` materializes a pmf of length
-    ``distinct_count``; for the CRM schema with hundreds of tables we
-    only pay for the tables a workload actually touches.
+    A built table holds one ``O(buckets)`` histogram per column.
+    Building a column still generates its pmf, ``O(distinct_count)``
+    time and transient memory, so for the CRM schema with hundreds of
+    tables we only build the tables a workload actually touches.
     """
 
     def __init__(self, schema: Schema, bucket_count: int = 32) -> None:

@@ -14,6 +14,14 @@ the remaining groups.
 Paper accounting is preserved exactly: every ``(query, configuration)``
 cell still counts as one optimizer call (``optimizer.calls`` rises by
 ``N * k`` for a fresh build); fingerprint sharing only buys wall time.
+
+Plan-search memory is bounded by one query's: the serial sweep never
+returns to a query after its row, so it drops the optimizer's
+query-keyed plan-search memos after each row
+(:meth:`~repro.optimizer.whatif.WhatIfOptimizer.drop_plan_memos`).
+The pair and fingerprint caches stay, so every cell and every counter
+is what an undropped build gives.  Kept for every query, the memos
+grew to gigabytes on paper-size builds.
 """
 
 from __future__ import annotations
@@ -156,6 +164,7 @@ def cost_matrix_with_stats(
             row = matrix[qi]
             for ci, config in enumerate(configs):
                 row[ci] = cost(query, config)
+            optimizer.drop_plan_memos()
             if progress is not None and (qi + 1) % progress_every == 0:
                 progress(qi + 1, n)
     wall = time.perf_counter() - start

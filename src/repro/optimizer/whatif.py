@@ -278,8 +278,19 @@ class WhatIfOptimizer:
         """Drop all cached costs, fingerprints and plan-search memos."""
         self._cache.clear()
         self._fp_cache.clear()
-        self._plan_memo.clear()
         self._pruned.clear()
+        self.drop_plan_memos()
+
+    def drop_plan_memos(self) -> None:
+        """Drop the query-keyed plan-search memos (cache layer 3).
+
+        Costs, fingerprint values and every counter are unaffected: the
+        memos only spare repeated plan-search work for a query, and a
+        dropped entry is recomputed identically on the next miss.  The
+        matrix builder calls this after each query's row, since a
+        query-major sweep never revisits an earlier query's memos.
+        """
+        self._plan_memo.clear()
         self._tbl_ctx.clear()
         self._path_memo.clear()
         self._noview_memo.clear()
@@ -292,7 +303,13 @@ class WhatIfOptimizer:
 
     @property
     def cache_stats(self) -> Dict[str, int]:
-        """Counter snapshot for profiling/benchmark JSON output."""
+        """Counter snapshot for profiling/benchmark JSON output.
+
+        ``plan_cache_size`` and ``path_memo_size`` count plan-search
+        memo entries.  The serial matrix builder drops those memos after
+        every query's row (:meth:`drop_plan_memos`), so after a build
+        they read only what other calls have memoized since.
+        """
         return {
             "calls": self.calls,
             "cache_hits": self.cache_hits,
